@@ -2,7 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
+#include <limits>
+#include <memory>
+
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 
 namespace pdw::ilp {
 
@@ -37,36 +43,179 @@ void BasisLu::clearFactors() {
 }
 
 bool BasisLu::factor(int m, const std::vector<SparseColumn>& cols) {
+  static obs::Histogram& factor_seconds =
+      obs::Registry::instance().histogram(obs::names::kLuFactorSeconds);
+  const auto t0 = std::chrono::steady_clock::now();
   assert(static_cast<int>(cols.size()) == m);
   clearFactors();
   m_ = m;
-  if (m == 0) {
-    valid_ = true;
-    return true;
-  }
-  std::size_t nnz = 0;
-  for (const SparseColumn& col : cols) nnz += col.size();
-  const double density =
-      static_cast<double>(nnz) / (static_cast<double>(m) * m);
-  bool ok = false;
-  if (m >= 32 && density > kDenseModeDensity) {
-    ok = factorDense(cols);
-  } else {
-    ok = factorSparse(cols);
-    if (!ok && m >= 32 && !dense_lu_.empty()) {
-      // factorSparse aborted on fill-in (not singularity); retry dense.
+  bool ok = true;
+  if (m > 0) {
+    std::size_t nnz = 0;
+    for (const SparseColumn& col : cols) nnz += col.size();
+    const double density =
+        static_cast<double>(nnz) / (static_cast<double>(m) * m);
+    if (m >= 32 && density > kDenseModeDensity) {
       ok = factorDense(cols);
+    } else {
+      switch (factorSparse(cols)) {
+        case SparseResult::Ok: ok = true; break;
+        case SparseResult::Singular: ok = false; break;
+        case SparseResult::FillAbort: ok = factorDense(cols); break;
+      }
     }
   }
   valid_ = ok;
+  factor_seconds.observe(std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
   return ok;
 }
 
-bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
+struct BasisLu::SparseWork {
+  /// Heap key of row `row`'s best admissible entry, live while the row is
+  /// active and its score is still `version`. No two live keys share a row,
+  /// so (cost, -mag, row) orders them exactly as the full scan would.
+  struct Key {
+    long cost;
+    double mag;
+    int row, version;
+  };
+
+  // rows[i]: active row i as (position, value) entries; their order fixes
+  // U's summation order. col_rows[p]: rows that held position p, in
+  // first-insertion order, which fixes L's entry order; pivoted rows and
+  // repeats are pruned lazily. Only the first m of each are in use.
+  std::vector<std::vector<std::pair<int, double>>> rows;
+  std::vector<std::vector<int>> col_rows;
+  std::vector<std::pair<int, double>> next;
+  std::vector<int> col_count;
+  std::vector<char> row_active;
+  std::vector<double> acc;
+  std::vector<int> acc_stamp;
+
+  // Pivot search. heap: best key in front, at most one live key per row.
+  // row_version[i]: bumped whenever row i is rescored. row_best[i]: index
+  // in rows[i] of the entry its live key scores, -1 when no entry passes
+  // the row's pivot magnitude threshold row_floor[i] (+inf when none may
+  // ever pivot).
+  // count_before[p]: col_count[p] before the step that last touched p
+  // (touch_stamp[p]); `touched` lists the current step's positions.
+  std::vector<Key> heap;
+  std::vector<int> row_version, row_best;
+  std::vector<double> row_floor;
+  std::vector<int> touch_stamp, count_before, touched;
+  std::vector<int> row_stamp, walk_stamp;
+
+  // `a` ranks after `b`: std heaps keep the greatest in front, so the front
+  // is the best key. Best = lowest cost, then larger magnitude, then smaller
+  // row.
+  static bool ranksAfter(const Key& a, const Key& b) {
+    if (a.cost != b.cost) return a.cost > b.cost;
+    if (a.mag != b.mag) return a.mag < b.mag;
+    return a.row > b.row;
+  }
+
+  bool live(const Key& key) const {
+    return row_active[key.row] && row_version[key.row] == key.version;
+  }
+
+  /// Sets the magnitude threshold of a freshly built or rebuilt row.
+  void setFloor(int row) {
+    double row_max = 0.0;
+    for (const auto& [pos, val] : rows[row])
+      row_max = std::max(row_max, std::abs(val));
+    row_floor[row] = rows[row].empty() || row_max < kAbsPivotTol
+                         ? std::numeric_limits<double>::infinity()
+                         : std::max(kAbsPivotTol, kRelPivotTol * row_max);
+  }
+
+  /// Invalidates the row's key and pushes its current best entry, if any:
+  /// the first entry of least (cost, -magnitude, position) in row order.
+  void rescore(int row) {
+    const int version = ++row_version[row];
+    const auto& entries = rows[row];
+    const long rc = static_cast<long>(entries.size()) - 1;
+    Key best{-1, 0.0, row, version};
+    int best_idx = -1;
+    for (int idx = 0; idx < static_cast<int>(entries.size()); ++idx) {
+      const auto& [pos, val] = entries[idx];
+      const double mag = std::abs(val);
+      if (mag < row_floor[row]) continue;
+      const long cost = rc * (static_cast<long>(col_count[pos]) - 1);
+      if (best_idx < 0 || cost < best.cost ||
+          (cost == best.cost &&
+           (mag > best.mag ||
+            (mag == best.mag && pos < entries[best_idx].first)))) {
+        best.cost = cost;
+        best.mag = mag;
+        best_idx = idx;
+      }
+    }
+    row_best[row] = best_idx;
+    if (best_idx < 0) return;
+    heap.push_back(best);
+    std::push_heap(heap.begin(), heap.end(), ranksAfter);
+  }
+
+  /// Whether the column count of `pos` moving can change the best entry of
+  /// `row` (which holds pos): only if the entry at pos now costs no more
+  /// than the best one, which includes pos being the best. Entries of one
+  /// row share the row count, so comparing column counts suffices. Should
+  /// the best entry's own count have moved too, its position's walk
+  /// rescores the row regardless. Thresholds do not depend on counts, so a
+  /// row with no admissible entry stays without one.
+  bool needsRescore(int row, int pos) const {
+    const int best = row_best[row];
+    return best >= 0 && col_count[pos] <= col_count[rows[row][best].first];
+  }
+
+  /// Pops stale keys off the front; false when no live key is left.
+  bool settle() {
+    while (!heap.empty() && !live(heap.front())) pop();
+    return !heap.empty();
+  }
+
+  void pop() {
+    std::pop_heap(heap.begin(), heap.end(), ranksAfter);
+    heap.pop_back();
+  }
+
+  /// Drops every stale key and re-heapifies the live ones.
+  void rebuild() {
+    heap.erase(std::remove_if(heap.begin(), heap.end(),
+                              [&](const Key& key) { return !live(key); }),
+               heap.end());
+    std::make_heap(heap.begin(), heap.end(), ranksAfter);
+  }
+};
+
+BasisLu::BasisLu() = default;
+BasisLu::~BasisLu() = default;
+BasisLu::BasisLu(BasisLu&&) noexcept = default;
+BasisLu& BasisLu::operator=(BasisLu&&) noexcept = default;
+
+BasisLu::SparseResult BasisLu::factorSparse(
+    const std::vector<SparseColumn>& cols) {
+  if (!sparse_work_) sparse_work_ = std::make_unique<SparseWork>();
+  SparseWork& work = *sparse_work_;
   const int m = m_;
+  auto& rows = work.rows;
+  auto& col_rows = work.col_rows;
+  auto& col_count = work.col_count;
+  auto& row_active = work.row_active;
+  auto& acc = work.acc;
+  auto& acc_stamp = work.acc_stamp;
   // Row-major working copy: rows[i] = (position, value) entries.
-  std::vector<std::vector<std::pair<int, double>>> rows(m);
-  std::vector<int> col_count(m, 0);
+  if (static_cast<int>(rows.size()) < m) {
+    rows.resize(m);
+    col_rows.resize(m);
+  }
+  for (int i = 0; i < m; ++i) {
+    rows[i].clear();
+    col_rows[i].clear();
+  }
+  col_count.assign(m, 0);
   std::size_t nnz = 0;
   for (int pos = 0; pos < m; ++pos) {
     for (const auto& [row, val] : cols[pos]) {
@@ -79,11 +228,10 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
   }
   // col_rows: candidate rows per position, appended lazily (may hold stale
   // rows whose entry got cancelled; verified against row contents on use).
-  std::vector<std::vector<int>> col_rows(m);
   for (int i = 0; i < m; ++i)
     for (const auto& [pos, val] : rows[i]) col_rows[pos].push_back(i);
 
-  std::vector<char> row_active(m, 1), col_active(m, 1);
+  row_active.assign(m, 1);
   prow_.reserve(m);
   pcol_.reserve(m);
   diag_.reserve(m);
@@ -91,59 +239,54 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
   u_start_.reserve(m + 1);
 
   // Dense accumulator for row combination.
-  std::vector<double> acc(m, 0.0);
-  std::vector<int> acc_stamp(m, -1);
+  acc.assign(m, 0.0);
+  acc_stamp.assign(m, -1);
   int stamp = 0;
+
+  // Pivot search: every row starts with a live key for its best entry.
+  work.heap.clear();
+  work.heap.reserve(2 * static_cast<std::size_t>(m) + 65);
+  work.row_version.assign(m, 0);
+  work.row_best.assign(m, -1);
+  work.row_floor.assign(m, 0.0);
+  work.touch_stamp.assign(m, -1);
+  work.count_before.assign(m, 0);
+  work.row_stamp.assign(m, -1);
+  work.walk_stamp.assign(m, -1);
+  for (int i = 0; i < m; ++i) {
+    work.setFloor(i);
+    work.rescore(i);
+  }
+  int walk = 0;
+  // Records col_count[pos] before step k first changes it.
+  const auto touch = [&](int pos, int k) {
+    if (work.touch_stamp[pos] == k) return;
+    work.touch_stamp[pos] = k;
+    work.count_before[pos] = col_count[pos];
+    work.touched.push_back(pos);
+  };
 
   const std::size_t fill_cap = static_cast<std::size_t>(
       std::max(4096.0, kFillAbortDensity * static_cast<double>(m) * m));
 
   for (int k = 0; k < m; ++k) {
-    // ---- Markowitz pivot search over all active entries -----------------
-    int piv_row = -1, piv_pos = -1;
-    double piv_val = 0.0;
-    long best_cost = -1;
-    double best_mag = 0.0;
-    for (int i = 0; i < m; ++i) {
-      if (!row_active[i]) continue;
-      const auto& row = rows[i];
-      if (row.empty()) continue;
-      double row_max = 0.0;
-      for (const auto& [pos, val] : row) row_max = std::max(row_max, std::abs(val));
-      if (row_max < kAbsPivotTol) continue;
-      const double mag_floor = std::max(kAbsPivotTol, kRelPivotTol * row_max);
-      const long rc = static_cast<long>(row.size()) - 1;
-      for (const auto& [pos, val] : row) {
-        const double mag = std::abs(val);
-        if (mag < mag_floor) continue;
-        const long cost = rc * (static_cast<long>(col_count[pos]) - 1);
-        const bool better =
-            best_cost < 0 || cost < best_cost ||
-            (cost == best_cost &&
-             (mag > best_mag ||
-              (mag == best_mag &&
-               (i < piv_row || (i == piv_row && pos < piv_pos)))));
-        if (better) {
-          best_cost = cost;
-          best_mag = mag;
-          piv_row = i;
-          piv_pos = pos;
-          piv_val = val;
-        }
-      }
-    }
-    if (piv_row < 0) return false;  // singular: no admissible pivot left
+    // ---- Markowitz pivot: the best live key ------------------------------
+    if (!work.settle()) return SparseResult::Singular;  // no admissible pivot
+    const int piv_row = work.heap.front().row;
+    const auto [piv_pos, piv_val] = rows[piv_row][work.row_best[piv_row]];
+    work.pop();
 
     prow_.push_back(piv_row);
     pcol_.push_back(piv_pos);
     diag_.push_back(piv_val);
     row_active[piv_row] = 0;
-    col_active[piv_pos] = 0;
+    work.touched.clear();
 
     // Freeze the pivot row as U row k (entries over still-active positions).
     std::vector<std::pair<int, double>>& prow_entries = rows[piv_row];
     u_start_.push_back(static_cast<int>(u_entries_.size()));
     for (const auto& [pos, val] : prow_entries) {
+      touch(pos, k);
       --col_count[pos];
       if (pos == piv_pos) continue;
       u_entries_.emplace_back(pos, val);
@@ -184,10 +327,13 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
           acc_stamp[pos] = stamp;
         }
       }
-      for (const auto& [pos, val] : row) --col_count[pos];
+      for (const auto& [pos, val] : row) {
+        touch(pos, k);
+        --col_count[pos];
+      }
       nnz -= row.size();
-      std::vector<std::pair<int, double>> next;
-      next.reserve(row.size() + prow_entries.size());
+      std::vector<std::pair<int, double>>& next = work.next;
+      next.clear();
       // Keep original-order positions first, then pivot-row fill-in, so the
       // rebuild is deterministic without a sort.
       for (const auto& [pos, val] : row) {
@@ -203,18 +349,47 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
         }
         acc_stamp[pos] = -1;
       }
-      row.swap(next);
+      row.assign(next.begin(), next.end());
       for (const auto& [pos, val] : row) ++col_count[pos];
       nnz += row.size();
     }
     cand.clear();
 
-    if (nnz > fill_cap && m >= 32) {
-      // Signal factor() to retry densely (dense_lu_ non-empty = fill abort,
-      // distinct from the singular `return false` above).
-      dense_lu_.assign(1, 0.0);
-      return false;
+    if (nnz > fill_cap && m >= 32) return SparseResult::FillAbort;
+
+    // ---- rescore the rows whose best entry may have moved ---------------
+    // Rebuilt rows are this step's L entries.
+    for (int e = l_start_[k]; e < static_cast<int>(l_entries_.size()); ++e) {
+      const int i = l_entries_[e].first;
+      work.row_stamp[i] = k;
+      work.setFloor(i);
+      work.rescore(i);
     }
+    // So is every other active row holding a position whose count moved,
+    // when that entry is the row's best or now costs no more than it.
+    // Walking col_rows[pos] also prunes pivoted rows and repeats from it;
+    // neither changes which rows a later elimination visits, nor their
+    // order (a repeat is a no-op after its first visit).
+    for (int pos : work.touched) {
+      if (pos == piv_pos || col_count[pos] == work.count_before[pos]) continue;
+      std::vector<int>& list = col_rows[pos];
+      ++walk;
+      std::size_t kept = 0;
+      for (int i : list) {
+        if (!row_active[i] || work.walk_stamp[i] == walk) continue;
+        work.walk_stamp[i] = walk;
+        list[kept++] = i;
+        if (work.row_stamp[i] != k && work.needsRescore(i, pos)) {
+          work.row_stamp[i] = k;
+          work.rescore(i);
+        }
+      }
+      list.resize(kept);
+    }
+    // At most one key per active row is live; once the stale ones outnumber
+    // the active rows (+64), drop them so the heap stays O(m).
+    if (work.heap.size() > 2 * static_cast<std::size_t>(m - k) + 64)
+      work.rebuild();
   }
   l_start_.push_back(static_cast<int>(l_entries_.size()));
   u_start_.push_back(static_cast<int>(u_entries_.size()));
@@ -222,7 +397,7 @@ bool BasisLu::factorSparse(const std::vector<SparseColumn>& cols) {
                 static_cast<std::int64_t>(u_entries_.size()) + m;
   work_.assign(m, 0.0);
   work2_.assign(m, 0.0);
-  return true;
+  return SparseResult::Ok;
 }
 
 bool BasisLu::factorDense(const std::vector<SparseColumn>& cols) {

@@ -7,7 +7,19 @@
 //    (row_count-1)*(col_count-1) among entries passing a relative-magnitude
 //    threshold, trading a little numerical greed for fill-in control — the
 //    classic sparse-LU compromise. Ties break toward larger magnitude, then
-//    smaller indices, so factorization is deterministic.
+//    smaller row, then smaller position, so factorization is deterministic.
+//    The minimum is kept incrementally instead of rescanning the active
+//    submatrix every step (O(m·nnz) per factorization): each active row
+//    carries one key for its own best entry in a binary heap, and keys are
+//    invalidated lazily by a per-row version. After a step, only the rows
+//    it rebuilt are rescored, plus the rows holding a position whose column
+//    count moved when that entry may now be the row's best. A step thus
+//    costs the column lists it walks and the rows it rescores, plus
+//    O(log m) per new key; stale keys are purged once they outnumber the
+//    active rows. The selection rule is unchanged and exact, so the pivot
+//    sequence — and with it every L/U entry and every solve result — is
+//    bitwise the same as a full scan's (tests/test_ilp_basis_lu.cpp keeps
+//    the full scan as its oracle).
 //  * Dense fallback: a basis whose nonzero density exceeds a threshold (or
 //    whose sparse elimination fills in beyond it) is factorized with plain
 //    dense partial pivoting instead — Markowitz bookkeeping on a dense
@@ -26,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -33,6 +46,11 @@ namespace pdw::ilp {
 
 class BasisLu {
  public:
+  BasisLu();
+  ~BasisLu();
+  BasisLu(BasisLu&&) noexcept;
+  BasisLu& operator=(BasisLu&&) noexcept;
+
   /// Entries of one sparse basis column: (constraint row, coefficient).
   using SparseColumn = std::vector<std::pair<int, double>>;
 
@@ -64,6 +82,11 @@ class BasisLu {
   /// Nonzeros of the LU factors proper (fill-in diagnostics).
   std::int64_t factorNonzeros() const { return factor_nnz_; }
   bool usedDenseMode() const { return dense_mode_; }
+  /// Sparse elimination order: step k pivoted on row pivotRows()[k] at
+  /// position pivotPositions()[k]. After a fill-in abort (usedDenseMode())
+  /// or a singular rejection these hold the steps taken before it stopped.
+  const std::vector<int>& pivotRows() const { return prow_; }
+  const std::vector<int>& pivotPositions() const { return pcol_; }
 
  private:
   static constexpr double kAbsPivotTol = 1e-11;
@@ -71,7 +94,17 @@ class BasisLu {
   static constexpr double kDropTol = 1e-13;
   static constexpr double kUpdatePivotTol = 1e-9;
 
-  bool factorSparse(const std::vector<SparseColumn>& cols);
+  /// Outcome of the sparse elimination: FillAbort means the active
+  /// submatrix filled in past the dense threshold and factor() retries with
+  /// dense partial pivoting; Singular means no admissible pivot was left.
+  enum class SparseResult { Ok, Singular, FillAbort };
+
+  /// factorSparse's working rows and pivot-search heap (basis_lu.cpp),
+  /// created by the first sparse factorization and reused by every later
+  /// one, so refactorizing allocates almost nothing.
+  struct SparseWork;
+
+  SparseResult factorSparse(const std::vector<SparseColumn>& cols);
   bool factorDense(const std::vector<SparseColumn>& cols);
   void clearFactors();
   void applyEtasFtran(std::vector<double>& x) const;
@@ -110,6 +143,7 @@ class BasisLu {
   // scratch (mutable so const solves avoid per-call allocation)
   mutable std::vector<double> work_;
   mutable std::vector<double> work2_;
+  std::unique_ptr<SparseWork> sparse_work_;
 };
 
 }  // namespace pdw::ilp

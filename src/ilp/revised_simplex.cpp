@@ -109,11 +109,11 @@ void RevisedSimplex::pivotRow(int pos, std::vector<double>* rho,
 }
 
 bool RevisedSimplex::refactor() {
-  std::vector<BasisLu::SparseColumn> cols(static_cast<std::size_t>(m_));
+  basis_cols_.resize(static_cast<std::size_t>(m_));
   for (int i = 0; i < m_; ++i)
     columnEntries(basis_[static_cast<std::size_t>(i)],
-                  &cols[static_cast<std::size_t>(i)]);
-  if (!lu_.factor(m_, cols)) return false;
+                  &basis_cols_[static_cast<std::size_t>(i)]);
+  if (!lu_.factor(m_, basis_cols_)) return false;
   ++call_factorizations_;
   if (flight_) flight_->record(obs::FlightEventKind::Refactorization);
   // Re-anchor drift: both the basic values and the reduced costs are

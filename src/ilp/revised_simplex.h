@@ -165,6 +165,7 @@ class RevisedSimplex final : public LpBackend {
   // scratch
   mutable std::vector<double> alpha_, rho_, row_;
   mutable BasisLu::SparseColumn col_scratch_;
+  std::vector<BasisLu::SparseColumn> basis_cols_;  ///< refactor() input
 };
 
 }  // namespace pdw::ilp

@@ -96,6 +96,7 @@ inline constexpr const char* kCutsCover = "ilp.cuts.cover";
 inline constexpr const char* kCutsActive = "ilp.cuts.active";
 inline constexpr const char* kCutsEvicted = "ilp.cuts.evicted";
 inline constexpr const char* kSolveSeconds = "ilp.solve_seconds";
+inline constexpr const char* kLuFactorSeconds = "ilp.lu.factor_seconds";
 
 // ---- wash-optimization service (pdwd.*) ---------------------------------
 // Daemon request accounting. `pdwd.requests` counts every parsed protocol

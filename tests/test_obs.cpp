@@ -18,7 +18,9 @@
 
 #include "assay/benchmarks.h"
 #include "core/pipeline.h"
+#include "ilp/basis_lu.h"
 #include "obs/json.h"
+#include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "synth/placer.h"
@@ -360,6 +362,39 @@ TEST(ObsMetrics, PipelineResultCarriesRunDelta) {
   const PdwResult r2 = pipeline.run(base.schedule);
   EXPECT_EQ(r2.metrics.counter("pdw.route_cache.misses"), 0);
   EXPECT_GT(r2.metrics.counter("pdw.route_cache.hits"), 0);
+}
+
+TEST(ObsMetrics, LuFactorSecondsObservesEveryFactorization) {
+  obs::Histogram& h =
+      obs::Registry::instance().histogram(obs::names::kLuFactorSeconds);
+  const std::int64_t before = h.count();
+  // Three outcomes, one observation each: a sparse factorization, a
+  // singular rejection and the empty basis.
+  std::vector<ilp::BasisLu::SparseColumn> cols(3);
+  cols[0] = {{0, 2.0}, {2, 1.0}};
+  cols[1] = {{1, 1.0}};
+  cols[2] = {{2, 4.0}};
+  ilp::BasisLu lu;
+  ASSERT_TRUE(lu.factor(3, cols));
+  cols[2].clear();
+  EXPECT_FALSE(lu.factor(3, cols));
+  EXPECT_TRUE(lu.factor(0, {}));
+  EXPECT_EQ(h.count(), before + 3);
+  EXPECT_GE(h.min(), 0.0);
+
+  // A pipeline run's delta carries at least one factorization per
+  // refactorization the canonical simplex lane counted.
+  const assay::Benchmark b = assay::makeBenchmark(BenchmarkId::Pcr);
+  synth::SynthResult base =
+      synth::synthesizeOnChip(*b.graph, synth::placeChip(b.library));
+  Pipeline pipeline(cheapOptions(1));
+  const PdwResult r = pipeline.run(base.schedule);
+  const auto it = r.metrics.values.find(obs::names::kLuFactorSeconds);
+  ASSERT_NE(it, r.metrics.values.end());
+  EXPECT_EQ(it->second.kind, obs::MetricValue::Kind::Histogram);
+  EXPECT_GT(it->second.count, 0);
+  EXPECT_GE(it->second.count,
+            r.metrics.counter(obs::names::kSimplexRefactorizations));
 }
 
 // ---- logging integration -------------------------------------------------

@@ -171,7 +171,7 @@ void checkMetrics(const std::string& path, bool expect_pool) {
       "pdw.path_ilp.solves",   "pdw.route_cache.misses",
       "ilp.bb.solves",         "ilp.bb.nodes",
       "ilp.simplex.calls",     "ilp.simplex.iterations",
-      "ilp.solve_seconds"};
+      "ilp.solve_seconds",     "ilp.lu.factor_seconds"};
   // A sequential (--threads 1) run never constructs the pool, so its
   // counters legitimately don't exist; require them only alongside
   // --expect-workers.
