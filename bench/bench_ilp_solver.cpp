@@ -6,11 +6,12 @@
 //    and big-M disjunctive scheduling models (the structure of the paper's
 //    eqs. 3/8/19/20).
 //  * --json-out=<path>: one timed solve per instance plus the Table-II
-//    pipeline benchmarks, emitting a `pdw-bench-1` JSON document with
-//    per-benchmark wall time, node counts, simplex iterations and the
-//    warm-dual hit rate. scripts/tier1.sh validates the document with
-//    tools/obs_check; BENCH_ilp.json at the repo root holds the committed
-//    perf baseline this series is measured against.
+//    pipeline benchmarks (node-capped, so their work is fixed), emitting a
+//    `pdw-bench-1` JSON document with per-benchmark wall time, node counts,
+//    simplex iterations and the warm-dual hit rate. scripts/tier1.sh
+//    validates the document with tools/obs_check; BENCH_ilp.json at the
+//    repo root holds the committed perf baseline this series is measured
+//    against.
 //
 //      bench_ilp_solver --json-out=out.json [--quick] [--label=NAME]
 //                       [--no-cuts]   # pre-cuts solver config (baselines)
@@ -73,6 +74,14 @@ ilp::SolveParams benchParams() {
   if (g_no_cuts) applyPreCuts(&p);
   return p;
 }
+
+/// Budgets of the Table-II pipeline rows: node caps under a clock limit no
+/// solve reaches (the caps of perfbench's cold-schedule workload). Every
+/// row's nodes and simplex iterations are then fixed by the work, and its
+/// wall time measures engine speed rather than the clock.
+constexpr double kPipelineClockS = 1000.0;
+constexpr std::int64_t kPipelineScheduleNodes = 400;
+constexpr std::int64_t kPipelinePathNodes = 500;
 
 // ---- shared model builders (used by both modes) --------------------------
 
@@ -228,7 +237,9 @@ BenchRecord runPipelineBenchmark(assay::BenchmarkId id) {
   synth::SynthResult base =
       synth::synthesizeOnChip(*b.graph, synth::placeChip(b.library));
   core::PdwOptions options = bench::defaultBenchOptions();
-  options.withEngine(g_engine);
+  options.withScheduleBudget(kPipelineClockS, kPipelineScheduleNodes)
+      .withPathBudget(kPipelineClockS, kPipelinePathNodes)
+      .withEngine(g_engine);
   options.solver.schedule.flight = g_flight;
   options.solver.path.flight = g_flight;
   if (g_no_cuts) {
@@ -404,6 +415,11 @@ int main(int argc, char** argv) {
     } else {
       bench_args.push_back(argv[i]);
     }
+  }
+  if (!g_engine.empty() && !ilp::isLpBackendName(g_engine)) {
+    std::fprintf(stderr, "bench_ilp_solver: unknown --engine '%s'\n",
+                 g_engine.c_str());
+    return 2;
   }
   g_flight = obs_args.flightConfig();
   obs_args.applyStartup();

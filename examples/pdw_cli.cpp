@@ -17,6 +17,7 @@
 #include "baseline/dawo.h"
 #include "core/pipeline.h"
 #include "core/schedule_delta.h"
+#include "ilp/lp_backend.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -81,9 +82,9 @@ void printUsage() {
       "                     ui.perfetto.dev) of the run; enables tracing\n"
       "  --metrics-out=FILE write the metrics registry as JSON\n"
       "  --flight-out=FILE  dump every ILP solve's flight recording (JSONL,\n"
-      "                     pdw-flight-1); with --threads 1 the stream\n"
-      "                     reconciles against the registry counters via\n"
-      "                     obs_check --flight FILE --metrics M.json\n"
+      "                     pdw-flight-1); the stream reconciles against\n"
+      "                     the registry counters via obs_check --flight\n"
+      "                     FILE --metrics M.json\n"
       "  --flight-slow=S    with --flight-out: record always but dump only\n"
       "                     solves slower than S seconds (or on budget)\n"
       "  --log-level LEVEL  trace|debug|info|warn|error|off (also via the\n"
@@ -190,6 +191,11 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
     } else if (arg == "--engine") {
       const auto value = value_of(i);
       if (!value) return std::nullopt;
+      if (!ilp::isLpBackendName(*value)) {
+        std::cerr << "unknown --engine '" << *value << "' ("
+                  << util::join(ilp::lpBackendNames(), "|") << ")\n";
+        return std::nullopt;
+      }
       options.pdw.withEngine(*value);
     } else if (arg == "--cuts") {
       const auto value = value_of(i);

@@ -45,10 +45,9 @@ trap 'rm -rf "$obs_dir"' EXIT
   --metrics "$obs_dir/metrics.json" --expect-workers 3
 
 echo "== tier-1: flight recorder smoke (pdw_cli --flight-out) =="
-# Single-threaded so every lane is canonical and the flight stream's event
-# counts reconcile EXACTLY with the registry's ilp.bb.* / ilp.simplex.*
-# counters (portfolio diver lanes would add solve blocks the batched
-# counters don't see).
+# The flight stream's event counts must reconcile EXACTLY with the
+# registry's ilp.bb.* / ilp.simplex.* counters: every MILP runs one
+# best-bound search, so each solve block is the canonical lane.
 ./build/examples/pdw_cli --benchmark PCR --method pdw --threads 1 \
   --time-limit 2 --flight-out "$obs_dir/flight.jsonl" \
   --metrics-out "$obs_dir/flight_metrics.json"
@@ -58,8 +57,10 @@ echo "== tier-1: flight recorder smoke (pdw_cli --flight-out) =="
 echo "== tier-1: ILP perf smoke (bench_ilp_solver --quick + pdw_report) =="
 # One quick run produces both the pdw-bench-1 document (schema-validated,
 # warm dual path must have fired, engine label checked) and a pdw-run-1
-# run-store record; pdw_report gates wall time + simplex iterations on the
-# rows shared with the committed perf baseline (exit 1 = regression).
+# run-store record; pdw_report gates wall time, simplex iterations and
+# nodes on the rows shared with the committed perf baseline (exit 1 =
+# regression). The table2_* rows are node-capped, so their nodes and
+# iterations are fixed by the work and only wall time measures speed.
 ./build/bench/bench_ilp_solver --json-out="$obs_dir/bench.json" \
   --run-store="$obs_dir/runs.jsonl" --label tier1-smoke --quick \
   --flight-out "$obs_dir/bench_flight.jsonl" \
@@ -150,7 +151,7 @@ else
   cmake --build build-asan -j --target pdw_tests
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="print_stacktrace=1" \
     ./build-asan/tests/pdw_tests \
-    --gtest_filter='BasisLu.*:BackendDifferential.*:BothEngines/*:DenseWarmPath.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*'
+    --gtest_filter='BasisLu.*:BackendDifferential.*:BothEngines/*:DenseWarmPath.*:Simplex.*:Mip.*:WarmStart.*:Model.*:Presolve.*:LinExpr.*:ObsJson.*:ObsMetrics.*'
 fi
 
 if [[ "${PDW_SKIP_TSAN:-0}" == "1" ]]; then

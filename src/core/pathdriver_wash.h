@@ -13,8 +13,8 @@
 //
 // The preferred entry point is the pdw::Pipeline facade (core/pipeline.h),
 // which adds the parallel routing runtime, the route cache, per-stage
-// timings and solver statistics. `runPathDriverWash` below survives as a
-// thin wrapper over it.
+// timings and solver statistics. This header holds the option set it
+// takes.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +42,6 @@ class RouteCache;  // core/route_cache.h
 /// authoritative source — the Pipeline facade copies `path` over
 /// `PdwOptions::path.solver` before routing, so standalone
 /// `routeWashPathIlp(..., WashPathOptions)` use is unaffected.
-///
-/// Migration note: the former scattered knobs (`PdwOptions::schedule_solver`
-/// member, `withSolverBudget`, `withPathSolverBudget`, `withWarmNodeLps`)
-/// moved here; the old PdwOptions setters survive as deprecated delegates.
 struct SolverConfig {
   /// Scheduling-ILP knobs (eqs. 1-8, 16-26). NOTE: unless
   /// `withScheduleBudget` pins a budget, the Pipeline facade replaces stock
@@ -171,7 +167,7 @@ struct PdwOptions {
   SolverConfig solver;
 
   /// Execution lanes for the parallel runtime (per-operation wash-path
-  /// routing, solver portfolio race, rescheduler precomputation).
+  /// routing, rescheduler precomputation).
   /// 0 = hardware concurrency; 1 = fully sequential, reproducing the
   /// pre-runtime behavior bit-for-bit. Results are identical for every
   /// value — only wall-clock changes.
@@ -238,25 +234,6 @@ struct PdwOptions {
   /// Budget of each per-operation wash-path ILP.
   PdwOptions& withPathBudget(double seconds, std::int64_t nodes = 0) {
     solver.withPathBudget(seconds, nodes);
-    return *this;
-  }
-
-  /// Deprecated alias of withScheduleBudget (knob moved to SolverConfig).
-  [[deprecated("use withScheduleBudget / PdwOptions::solver")]] PdwOptions&
-  withSolverBudget(double seconds, std::int64_t nodes = 0) {
-    return withScheduleBudget(seconds, nodes);
-  }
-
-  /// Deprecated alias of withPathBudget (knob moved to SolverConfig).
-  [[deprecated("use withPathBudget / PdwOptions::solver")]] PdwOptions&
-  withPathSolverBudget(double seconds, std::int64_t nodes = 0) {
-    return withPathBudget(seconds, nodes);
-  }
-
-  /// Deprecated: warm-LP toggle moved to SolverConfig::withWarmNodeLps.
-  [[deprecated("use PdwOptions::solver.withWarmNodeLps")]] PdwOptions&
-  withWarmNodeLps(bool enabled) {
-    solver.withWarmNodeLps(enabled);
     return *this;
   }
 
@@ -335,16 +312,5 @@ struct PdwOptions {
     return *this;
   }
 };
-
-/// Run PDW on a wash-oblivious base schedule. The returned schedule points
-/// to the same graph/chip as `base`.
-///
-/// Deprecated: thin compatibility wrapper over pdw::Pipeline
-/// (core/pipeline.h), which returns stage timings, solver statistics and
-/// route-cache metrics alongside the plan. New code should construct a
-/// Pipeline — and hold on to it, so the route cache persists across runs.
-[[deprecated("construct a pdw::Pipeline (core/pipeline.h) instead")]]
-wash::WashPlanResult runPathDriverWash(const assay::AssaySchedule& base,
-                                       const PdwOptions& options = {});
 
 }  // namespace pdw::core

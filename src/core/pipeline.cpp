@@ -311,11 +311,6 @@ PdwResult Pipeline::execute(const assay::AssaySchedule& base,
     ilp_options.solver = options_.solver.schedule;
     ilp_options.pool = pool_.get();
     ilp_options.repair_mode = incremental;
-    // Portfolio race: a second lane dives for incumbents and certifies
-    // optimality early; the canonical search still owns the returned
-    // assignment (see ilp::SolveParams::portfolio_threads).
-    if (pool_->size() >= 2 && ilp_options.solver.portfolio_threads < 2)
-      ilp_options.solver.portfolio_threads = 2;
     core::ScheduleIlpResult ilp =
         solveWashSchedule(base, routed, ilp_options);
     result.solver.schedule = ilp.stats;

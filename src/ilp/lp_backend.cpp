@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 
 #include "ilp/dual_simplex.h"
 #include "ilp/revised_simplex.h"
-#include "util/logging.h"
 
 namespace pdw::ilp {
 
@@ -52,15 +52,18 @@ std::unique_ptr<LpBackend> makeLpBackend(const std::string& name,
   LpBackendFactory factory;
   {
     std::lock_guard<std::mutex> lock(reg.mutex);
-    auto it = reg.factories.find(resolved);
-    if (it == reg.factories.end()) {
-      PDW_LOG(Warn, "ilp") << "unknown LP backend '" << resolved
-                           << "', using '" << defaultLpBackendName() << "'";
-      it = reg.factories.find(defaultLpBackendName());
-    }
+    const auto it = reg.factories.find(resolved);
+    if (it == reg.factories.end())
+      throw std::invalid_argument("unknown LP backend '" + resolved + "'");
     factory = it->second;
   }
   return factory(model, params);
+}
+
+bool isLpBackendName(const std::string& name) {
+  Registry& reg = Registry::instance();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  return reg.factories.contains(name);
 }
 
 std::vector<std::string> lpBackendNames() {

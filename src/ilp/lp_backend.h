@@ -149,11 +149,14 @@ using LpBackendFactory = std::function<std::unique_ptr<LpBackend>(
 void registerLpBackend(const std::string& name, LpBackendFactory factory);
 
 /// Instantiate the backend selected by `name` ("" resolves to
-/// defaultLpBackendName()). An unknown name falls back to the default with
-/// a warning — solves must not fail over a config typo.
+/// defaultLpBackendName()). Throws std::invalid_argument on an unknown name;
+/// entry points reject such names up front with isLpBackendName().
 std::unique_ptr<LpBackend> makeLpBackend(const std::string& name,
                                          const Model& model,
                                          const SolveParams& params);
+
+/// True when `name` is registered (the empty default name is not).
+bool isLpBackendName(const std::string& name);
 
 /// Registered backend names, sorted (for CLI help / diagnostics).
 std::vector<std::string> lpBackendNames();

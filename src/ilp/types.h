@@ -81,11 +81,6 @@ struct SolveStats {
   int cuts_cover_active = 0;
   int cuts_evicted = 0;
   int cut_rounds = 0;
-  /// Portfolio race (SolveParams::portfolio_threads >= 2) bookkeeping:
-  /// nodes explored by the racing depth-first diver, and whether the diver
-  /// certified optimality before the canonical search proved it itself.
-  std::int64_t portfolio_nodes = 0;
-  bool race_certified = false;
   /// Node LPs run by the in-tree simplex engine (root + children).
   std::int64_t lp_solves = 0;
   /// Non-root node LPs re-optimized by the warm dual-simplex path vs. those
@@ -130,9 +125,9 @@ enum class BranchRule {
 };
 
 /// Root cutting-plane knobs (cuts.h). Cuts are generated once at the root
-/// of every MIP solve, materialized as ordinary model rows, and therefore
-/// shared by the canonical and diver lanes; within a lane they ride the
-/// warm-start contract unchanged (no rows are ever added mid-search).
+/// of every MIP solve and materialized as ordinary model rows, so the
+/// search rides the warm-start contract unchanged (no rows are ever added
+/// mid-search).
 struct CutParams {
   bool enabled = true;   ///< master switch for the root separation loop
   bool gomory = true;    ///< Gomory mixed-integer cuts from the tableau
@@ -212,13 +207,6 @@ struct SolveParams {
   /// (explicit path, budget-capped solve, slow solve). Off by default —
   /// disabled lanes pay one null check per event site.
   obs::FlightConfig flight;
-  /// >= 2 races the canonical best-bound search against a depth-first diver
-  /// on a second thread. The diver publishes feasible objectives through an
-  /// atomic incumbent bound; the canonical search stops early once its own
-  /// incumbent matches a diver-certified optimum. The returned variable
-  /// assignment is always the canonical one, so results are identical to a
-  /// single-threaded solve (only stats/status certification differ).
-  int portfolio_threads = 1;
 };
 
 /// Compact one-line description of the solver knobs that affect results or

@@ -78,8 +78,6 @@ inline constexpr const char* kStageSchedulingSeconds =
 // ---- MILP solver (ilp.*) -------------------------------------------------
 inline constexpr const char* kBbSolves = "ilp.bb.solves";
 inline constexpr const char* kBbNodes = "ilp.bb.nodes";
-inline constexpr const char* kBbDiverNodes = "ilp.bb.diver_nodes";
-inline constexpr const char* kBbRaceCertified = "ilp.bb.race_certified";
 inline constexpr const char* kBbRcFixed = "ilp.bb.rc_fixed";
 inline constexpr const char* kSimplexCalls = "ilp.simplex.calls";
 inline constexpr const char* kSimplexIterations = "ilp.simplex.iterations";

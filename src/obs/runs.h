@@ -7,8 +7,7 @@
 // row of named numeric values per benchmark. The bench binaries append via
 // `--run-store=FILE`; `tools/pdw_report` loads two labels (or a label vs a
 // frozen `pdw-bench-1` document) and prints a regression/improvement table
-// with a machine-readable exit code, superseding one-off `--json-out`
-// files and the ad-hoc `obs_check --baseline` totals gate.
+// with a machine-readable exit code.
 //
 // Rows carry an open-ended `values` map instead of a fixed struct so every
 // bench family (solver benches, Table-II metrics, pipeline stage timings)

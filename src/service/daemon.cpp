@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <future>
+#include <stdexcept>
 #include <utility>
 
 #include "assay/benchmarks.h"
 #include "core/pipeline.h"
 #include "core/route_cache.h"
+#include "ilp/lp_backend.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,6 +66,11 @@ struct Daemon::Job {
 Daemon::Daemon(DaemonOptions options)
     : options_(std::move(options)),
       plan_cache_(std::max<std::size_t>(1, options_.plan_cache_capacity)) {
+  // Checked before any lane starts: an unknown engine would otherwise throw
+  // from makeLpBackend inside a lane thread.
+  if (!options_.engine.empty() && !ilp::isLpBackendName(options_.engine))
+    throw std::invalid_argument("unknown LP backend '" + options_.engine +
+                                "'");
   options_.lanes = std::max(1, options_.lanes);
   options_.queue_capacity = std::max<std::size_t>(1, options_.queue_capacity);
   pool_ = std::make_shared<util::ThreadPool>(

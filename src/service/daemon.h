@@ -68,6 +68,8 @@ struct DaemonOptions {
   /// at Warn with their trace id and counted in pdwd.slow_requests.
   double slow_request_seconds = 5.0;
   /// Default LP backend ("" = library default); per-request engine wins.
+  /// An unregistered name makes the constructor throw
+  /// std::invalid_argument.
   std::string engine;
   /// Default cut policy ("" = library default, else on|off|gomory|cover).
   std::string cuts;

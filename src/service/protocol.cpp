@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "ilp/lp_backend.h"
 #include "obs/json.h"
 #include "util/hash.h"
 
@@ -196,6 +197,8 @@ ParsedRequest parseRequest(std::string_view line) {
   if (!req.cuts.empty() && req.cuts != "on" && req.cuts != "off" &&
       req.cuts != "gomory" && req.cuts != "cover")
     return fail("cuts must be on|off|gomory|cover", "value");
+  if (!req.engine.empty() && !ilp::isLpBackendName(req.engine))
+    return fail("unknown engine \"" + req.engine + "\"", "value");
   if (req.type == RequestType::Solve && req.benchmark.empty() &&
       req.sleep_ms <= 0.0)
     return fail("solve requires a benchmark", "value");

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -136,15 +137,20 @@ TEST(BackendDifferential, RandomMipsAgreeOnObjective) {
   }
 }
 
-TEST(BackendDifferential, UnknownEngineFallsBackToDefault) {
+TEST(BackendDifferential, UnknownEngineIsRejected) {
   util::Rng rng(5);
   const Model m = makeRandomLp(rng, 6, 4);
-  const LpResult fallback = solveLp(m, engineParams("no-such-engine"));
-  const LpResult standard = solveLp(m, engineParams(""));
-  ASSERT_EQ(fallback.status, standard.status);
-  if (standard.status == LpStatus::Optimal) {
-    EXPECT_NEAR(fallback.objective, standard.objective, 1e-9);
-  }
+  EXPECT_FALSE(isLpBackendName("no-such-engine"));
+  EXPECT_THROW(makeLpBackend("no-such-engine", m, SolveParams{}),
+               std::invalid_argument);
+  EXPECT_THROW(solveLp(m, engineParams("no-such-engine")),
+               std::invalid_argument);
+  EXPECT_THROW(solve(m, engineParams("no-such-engine")),
+               std::invalid_argument);
+  // The empty name still means the default engine.
+  EXPECT_TRUE(isLpBackendName(defaultLpBackendName()));
+  EXPECT_EQ(solveLp(m, engineParams("")).status,
+            solveLp(m, engineParams("revised")).status);
 }
 
 // ---- Table-II node-LP differential ---------------------------------------

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +44,17 @@ void* operator new(std::size_t size) {
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from the same malloc as the deletes below, or a sanitizer's own
+// nothrow new meets this file's free().
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }

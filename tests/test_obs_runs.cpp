@@ -100,7 +100,7 @@ TEST(FlightRecorder, DumpRoundTripReconciles) {
   config.path = path;
   config.dump_all = true;
   config.ring_capacity = 4;  // force drops: 6 recorded, 4 retained
-  FlightRecorder rec(config, "diver");
+  FlightRecorder rec(config, "test-lane");
   rec.record(FlightEventKind::SolveBegin, 0, 10.0, 3.0);
   for (int i = 0; i < 4; ++i) rec.record(FlightEventKind::NodeOpen, i);
   rec.record(FlightEventKind::NodePruned, 3, -5.0,
@@ -114,7 +114,7 @@ TEST(FlightRecorder, DumpRoundTripReconciles) {
   ASSERT_TRUE(header && header->isObject());
   EXPECT_EQ(header->find("type")->string, "solve");
   EXPECT_EQ(header->find("schema")->string, "pdw-flight-1");
-  EXPECT_EQ(header->find("lane")->string, "diver");
+  EXPECT_EQ(header->find("lane")->string, "test-lane");
   EXPECT_EQ(header->find("status")->string, "optimal");
   EXPECT_DOUBLE_EQ(header->find("wall_seconds")->number, 0.25);
   EXPECT_DOUBLE_EQ(header->find("dropped")->number, 2.0);

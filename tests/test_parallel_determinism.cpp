@@ -1,8 +1,9 @@
 // The Pipeline's determinism guarantee: for a fixed option set the wash
 // plan is identical for every thread count (parallel routing merges in
-// wash-operation index order; the solver portfolio race never substitutes a
-// differing assignment; the rescheduler's parallel precomputation feeds a
-// sequential sweep). Plus unit tests of the LRU route cache.
+// wash-operation index order; every MILP runs one best-bound search on the
+// calling thread, so its status and work counts match too; the
+// rescheduler's parallel precomputation feeds a sequential sweep). Plus
+// unit tests of the LRU route cache.
 //
 // Wall-clock solver limits are the enemy of this comparison — a loaded
 // machine can cut the two runs at different points — so every budget here
@@ -60,6 +61,14 @@ void expectIdenticalPlans(const assay::AssaySchedule& base,
 
   // The strongest check: the full schedule dumps are byte-identical.
   EXPECT_EQ(r1.schedule().describe(), r8.schedule().describe());
+
+  // The solve itself must not depend on thread count: same optimality
+  // verdict and the same search work.
+  EXPECT_EQ(r1.plan.proven_optimal, r8.plan.proven_optimal);
+  EXPECT_EQ(r1.solver.schedule.nodes_explored,
+            r8.solver.schedule.nodes_explored);
+  EXPECT_EQ(r1.solver.schedule.simplex_iterations,
+            r8.solver.schedule.simplex_iterations);
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<BenchmarkId> {};

@@ -34,6 +34,7 @@
 #include <functional>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -207,6 +208,10 @@ TEST(PdwdProtocol, RejectsValueErrors) {
   EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"dance\"}")
                 .error_code,
             "value");
+  EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"benchmark\":\"PCR\","
+                         "\"engine\":\"no-such-engine\"}")
+                .error_code,
+            "value");
   // A solve with neither benchmark nor sleep_ms has nothing to do.
   EXPECT_EQ(parseRequest("{\"schema\":\"pdw-req-1\",\"type\":\"solve\"}")
                 .error_code,
@@ -312,6 +317,34 @@ TEST(PdwdProtocol, SurrogateEscapesOnTheWire) {
         << line;
   }
   daemon.shutdown();
+}
+
+TEST(PdwdProtocol, UnknownEngineAnswersValueErrorOnTheWire) {
+  DaemonOptions options;
+  options.lanes = 1;
+  options.threads = 1;
+  Daemon daemon(options);
+  for (const std::string& line : std::vector<std::string>{
+           solveLine("e1", "PCR", ",\"engine\":\"no-such-engine\""),
+           "{\"schema\":\"pdw-req-1\",\"type\":\"resolve\",\"id\":\"e2\","
+           "\"benchmark\":\"PCR\",\"delay_op\":0,\"delay_s\":1,"
+           "\"engine\":\"no-such-engine\"}"}) {
+    const obs::json::Value doc = parseResponse(daemon.handleLine(line));
+    EXPECT_EQ(str(doc, "status"), "error") << line;
+    EXPECT_EQ(str(doc, "code"), "value") << line;
+    EXPECT_NE(str(doc, "error").find("no-such-engine"), std::string::npos);
+  }
+  // The daemon is still serving.
+  const obs::json::Value pong = parseResponse(daemon.handleLine(
+      "{\"schema\":\"pdw-req-1\",\"type\":\"ping\",\"id\":\"p\"}"));
+  EXPECT_EQ(str(pong, "id"), "p");
+  EXPECT_NE(str(pong, "status"), "error");
+  daemon.shutdown();
+
+  // A daemon-wide default engine is checked before any lane starts.
+  DaemonOptions bad = options;
+  bad.engine = "no-such-engine";
+  EXPECT_THROW(Daemon{bad}, std::invalid_argument);
 }
 
 TEST(PdwdProtocol, RejectsCacheVersionBeyondExactDoubles) {

@@ -24,10 +24,10 @@
 // header is followed by exactly its `events` event lines with known kinds
 // and increasing seq, and sum(counts) == dropped + events per block. When
 // --metrics is also given, the stream is reconciled against the registry
-// export: canonical-lane node_open == ilp.bb.nodes, diver node_open ==
-// ilp.bb.diver_nodes, canonical warm_miss == ilp.simplex.warm_misses,
-// canonical cut_added == ilp.cuts.added (the root separation loop records
-// one event per materialized cut into the canonical recorder), and solve
+// export: canonical-lane node_open == ilp.bb.nodes, canonical warm_miss ==
+// ilp.simplex.warm_misses, canonical cut_added == ilp.cuts.added (the root
+// separation loop records one event per materialized cut into the canonical
+// recorder), and solve
 // headers <= ilp.bb.solves (pure-LP solves carry no recorder). Exact only
 // when the producing process dumped every solve (--flight-out / dump_all)
 // — which is how tier1.sh drives it.
@@ -43,9 +43,8 @@
 // records, and (with --expect-warm-hits) a strictly positive warm-hit rate.
 // --expect-engine requires the document's top-level `engine` label to match.
 // Baseline comparisons live in tools/pdw_report (per-row diffs against the
-// run-record store or a frozen pdw-bench-1 document); the former
-// `--baseline` totals gate has been retired. Exits non-zero with one line
-// per failure.
+// run-record store or a frozen pdw-bench-1 document). Exits non-zero with
+// one line per failure.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -388,9 +387,6 @@ void reconcileFlight(const FlightTotals& totals,
 
   expectEqual("canonical node_open vs ilp.bb.nodes",
               laneKind("canonical", "node_open"), counterValue("ilp.bb.nodes"));
-  expectEqual("diver node_open vs ilp.bb.diver_nodes",
-              laneKind("diver", "node_open"),
-              counterValue("ilp.bb.diver_nodes"));
   expectEqual("canonical warm_miss vs ilp.simplex.warm_misses",
               laneKind("canonical", "warm_miss"),
               counterValue("ilp.simplex.warm_misses"));
@@ -683,13 +679,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--expect-engine") {
       const char* v = next();
       if (v) expect_engine = v;
-    } else if (arg == "--baseline") {
-      // Retired: the totals-only gate predates the run-record store.
-      // tools/pdw_report diffs per-row with configurable thresholds.
-      std::fprintf(stderr,
-                   "obs_check: --baseline has been removed; use "
-                   "pdw_report --against BENCH.json\n");
-      return 2;
     } else {
       std::fprintf(stderr,
                    "usage: obs_check [--trace FILE] [--metrics FILE] "

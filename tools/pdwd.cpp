@@ -29,10 +29,12 @@
 #include <iostream>
 #include <string>
 
+#include "ilp/lp_backend.h"
 #include "obs/metrics.h"
 #include "service/daemon.h"
 #include "service/server.h"
 #include "util/logging.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -89,6 +91,11 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--slow")) {
       options.slow_request_seconds = std::atof(v);
     } else if (const char* v = value("--engine")) {
+      if (!pdw::ilp::isLpBackendName(v)) {
+        std::fprintf(stderr, "pdwd: unknown --engine '%s' (%s)\n", v,
+                     pdw::util::join(pdw::ilp::lpBackendNames(), "|").c_str());
+        return 2;
+      }
       options.engine = v;
     } else if (const char* v = value("--cuts")) {
       options.cuts = v;
